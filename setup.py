@@ -1,8 +1,9 @@
 """Setuptools entry point.
 
-Kept alongside ``pyproject.toml`` so that ``pip install -e .`` works in fully
-offline environments (no ``wheel`` package available for PEP 660 editable
-wheels): pip falls back to the legacy ``setup.py develop`` code path.
+The project is configured here alone (there is no ``pyproject.toml``), so
+``pip install -e .`` works in fully offline environments (no ``wheel``
+package available for PEP 660 editable wheels): pip takes the legacy
+``setup.py develop`` code path.
 """
 
 from setuptools import find_packages, setup

@@ -47,7 +47,11 @@ def percentile(values: Sequence[float], q: float) -> float:
     if lower == upper:
         return ordered[lower]
     fraction = rank - lower
-    return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
+    low, high = ordered[lower], ordered[upper]
+    # Step from ``low`` towards ``high``: equal neighbours give exactly their
+    # value (the weighted sum can underflow, e.g. for subnormals), and the
+    # clamp keeps rounding from leaving the bracket.
+    return min(max(low + (high - low) * fraction, low), high)
 
 
 def stdev(values: Sequence[float]) -> float:

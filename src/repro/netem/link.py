@@ -103,7 +103,11 @@ class Link:
         self._rng = rng or random.Random(0)
         self.endpoint_a: Optional["Interface"] = None
         self.endpoint_b: Optional["Interface"] = None
-        self._directions: Dict[str, _Direction] = {"a_to_b": _Direction(), "b_to_a": _Direction()}
+        self._a_to_b = _Direction()
+        self._b_to_a = _Direction()
+        #: The fluid API names a direction by key; the packet path resolves
+        #: it by interface identity instead.
+        self._directions: Dict[str, _Direction] = {"a_to_b": self._a_to_b, "b_to_a": self._b_to_a}
         self.up = True
 
     # ----------------------------------------------------------- wiring
@@ -120,13 +124,15 @@ class Link:
 
     def peer_of(self, interface: "Interface") -> "Interface":
         """Return the interface at the other end of the link."""
-        if interface is self.endpoint_a:
-            assert self.endpoint_b is not None
-            return self.endpoint_b
-        if interface is self.endpoint_b:
-            assert self.endpoint_a is not None
-            return self.endpoint_a
-        raise ValueError(f"interface {interface!r} is not attached to link {self.name}")
+        return self._route(interface)[1]
+
+    def _route(self, from_interface: "Interface") -> Tuple[_Direction, "Interface"]:
+        """Direction state and destination for packets sent by ``from_interface``."""
+        if from_interface is self.endpoint_a:
+            return self._a_to_b, self.endpoint_b  # type: ignore[return-value]
+        if from_interface is self.endpoint_b:
+            return self._b_to_a, self.endpoint_a  # type: ignore[return-value]
+        raise ValueError(f"interface {from_interface!r} is not attached to link {self.name}")
 
     # ----------------------------------------------------- transmission
 
@@ -169,30 +175,36 @@ class Link:
         still be lost in flight), ``False`` if it was dropped immediately
         (link down or full queue).
         """
-        direction_key = "a_to_b" if from_interface is self.endpoint_a else "b_to_a"
-        direction = self._directions[direction_key]
+        # The per-hop hot path: direction by identity, comparisons instead
+        # of max(), counters inline.  The float expressions keep the order
+        # of serialization_delay() so results match it bit for bit.
+        if from_interface is self.endpoint_a:
+            direction = self._a_to_b
+            destination = self.endpoint_b
+        else:
+            direction, destination = self._route(from_interface)
         size = packet.size_bytes
+        stats = direction.stats
 
-        if not self.up:
-            direction.stats.record_drop(size)
-            return False
-        if direction.queue_depth >= self.max_queue_packets:
-            direction.stats.record_drop(size)
+        if not self.up or direction.queue_depth >= self.max_queue_packets:
+            stats.dropped_packets += 1
+            stats.dropped_bytes += size
             return False
 
         now = self.simulator.now
-        start = max(now, direction.busy_until)
-        serialization = self._packet_serialization_delay(size, direction)
-        direction.busy_until = start + serialization
-        arrival = direction.busy_until + self.delay_s
+        busy = direction.busy_until
+        start = busy if busy > now else now
+        if direction.fluid_load_bps <= 0.0:
+            busy = direction.busy_until = start + (size * 8) / self.bandwidth_bps
+        else:
+            busy = direction.busy_until = start + self._packet_serialization_delay(size, direction)
+        arrival = busy + self.delay_s
 
-        direction.queue_depth += 1
-        direction.stats.queued_high_water = max(
-            direction.stats.queued_high_water, direction.queue_depth
-        )
+        depth = direction.queue_depth = direction.queue_depth + 1
+        if depth > stats.queued_high_water:
+            stats.queued_high_water = depth
 
         lost = self.loss_rate > 0.0 and self._rng.random() < self.loss_rate
-        destination = self.peer_of(from_interface)
         self.simulator.schedule_at(arrival, self._deliver, packet, destination, direction, lost)
         return True
 
@@ -208,8 +220,7 @@ class Link:
         packets = list(packets)
         if not packets:
             return 0
-        direction_key = "a_to_b" if from_interface is self.endpoint_a else "b_to_a"
-        direction = self._directions[direction_key]
+        direction, destination = self._route(from_interface)
 
         if not self.up:
             for packet in packets:
@@ -236,7 +247,6 @@ class Link:
             direction.stats.queued_high_water, direction.queue_depth
         )
         arrival = direction.busy_until + self.delay_s
-        destination = self.peer_of(from_interface)
         self.simulator.schedule_at(arrival, self._deliver_batch, accepted, destination, direction)
         return len(accepted)
 
@@ -248,10 +258,14 @@ class Link:
         lost: bool,
     ) -> None:
         direction.queue_depth -= 1
+        stats = direction.stats
+        size = packet.size_bytes
         if lost or not self.up:
-            direction.stats.record_drop(packet.size_bytes)
+            stats.dropped_packets += 1
+            stats.dropped_bytes += size
             return
-        direction.stats.record_tx(packet.size_bytes)
+        stats.tx_packets += 1
+        stats.tx_bytes += size
         packet.hops += 1
         destination.deliver(packet)
 
@@ -281,8 +295,7 @@ class Link:
 
     def stats(self, from_interface: "Interface") -> LinkStats:
         """Counters for the direction whose transmissions originate at ``from_interface``."""
-        key = "a_to_b" if from_interface is self.endpoint_a else "b_to_a"
-        return self._directions[key].stats
+        return (self._a_to_b if from_interface is self.endpoint_a else self._b_to_a).stats
 
     @property
     def total_stats(self) -> LinkStats:

@@ -11,8 +11,8 @@ UI shows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple, TypeVar, Union
 
 # Protocol numbers mirror IANA assignments so firewall rules read naturally.
 PROTO_ICMP = 1
@@ -31,6 +31,21 @@ UDP_HEADER_BYTES = 8
 ICMP_HEADER_BYTES = 8
 
 _packet_ids = itertools.count(1)
+
+_T = TypeVar("_T")
+
+
+def _shallow_clone(value: _T) -> _T:
+    """A new header/payload object with the same field values.
+
+    Equivalent to ``dataclasses.replace(value)`` for the dataclasses in this
+    module (none has ``__post_init__`` or ``init=False`` fields), without the
+    per-call field walk: mutable fields such as ``HTTPRequest.headers`` stay
+    shared with the original, exactly as ``replace`` leaves them.
+    """
+    clone = object.__new__(value.__class__)
+    clone.__dict__ = value.__dict__.copy()
+    return clone
 
 
 @dataclass
@@ -315,15 +330,22 @@ class Packet:
         return isinstance(self.l4, ICMPHeader)
 
     def copy(self) -> "Packet":
-        """Clone the packet (new identity, copied headers and metadata)."""
+        """Clone the packet (new identity, copied headers and metadata).
+
+        Headers and the application payload are cloned one level deep (see
+        :func:`_shallow_clone`); the clone has the same size, so the cached
+        size carries over.
+        """
+        eth, ip, l4, app = self.eth, self.ip, self.l4, self._app
         clone = Packet(
-            eth=replace(self.eth) if self.eth is not None else None,
-            ip=replace(self.ip) if self.ip is not None else None,
-            l4=replace(self.l4) if self.l4 is not None else None,
-            app=replace(self.app) if self.app is not None else None,
-            payload_bytes=self.payload_bytes,
+            eth=_shallow_clone(eth) if eth is not None else None,
+            ip=_shallow_clone(ip) if ip is not None else None,
+            l4=_shallow_clone(l4) if l4 is not None else None,
+            app=_shallow_clone(app) if app is not None else None,
+            payload_bytes=self._payload_bytes,
             created_at=self.created_at,
         )
+        clone._size_cache = self._size_cache
         clone.metadata = dict(self.metadata)
         clone.hops = self.hops
         return clone

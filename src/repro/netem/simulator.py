@@ -6,7 +6,8 @@ heartbeats, client mobility, NF migrations) is driven by a single
 dependency-free:
 
 * events are callbacks scheduled at an absolute simulated time,
-* ties are broken by insertion order so runs are fully deterministic,
+* the queue is a heap of ``(time, seq, event)`` tuples; ``seq`` is unique,
+  so ties are broken by insertion order and runs are fully deterministic,
 * lightweight generator-based processes are supported for code that reads
   more naturally as sequential logic (e.g. a migration that waits for a
   checkpoint transfer to finish).
@@ -18,21 +19,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulation kernel is misused."""
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    """Internal heap entry; ordering is (time, sequence)."""
-
-    time: float
-    sequence: int
-    event: "Event" = field(compare=False)
 
 
 class Event:
@@ -44,7 +35,7 @@ class Event:
     resumed with it (even if they start waiting after the event fired).
     """
 
-    __slots__ = ("time", "callback", "args", "kwargs", "cancelled", "fired", "name", "result", "_waiters", "_simulator")
+    __slots__ = ("time", "callback", "args", "kwargs", "cancelled", "fired", "_name", "result", "_waiters", "_simulator")
 
     def __init__(
         self,
@@ -57,10 +48,12 @@ class Event:
         self.time = time
         self.callback = callback
         self.args = args
-        self.kwargs = kwargs or {}
+        #: ``None`` when the callback takes no keyword arguments, so the
+        #: common call path allocates no dict and does no ``**`` unpacking.
+        self.kwargs = kwargs or None
         self.cancelled = False
         self.fired = False
-        self.name = name or getattr(callback, "__name__", "event")
+        self._name = name
         self.result: Any = None
         self._waiters: Optional[List[Callable[[Any], None]]] = None
         self._simulator: Optional["Simulator"] = None
@@ -95,6 +88,11 @@ class Event:
         if self._waiters is None:
             self._waiters = []
         self._waiters.append(waiter)
+
+    @property
+    def name(self) -> str:
+        """The explicit name, else the callback's ``__name__``."""
+        return self._name or getattr(self.callback, "__name__", "event")
 
     @property
     def pending(self) -> bool:
@@ -236,7 +234,9 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._queue: List[_QueueEntry] = []
+        #: Heap of ``(time, seq, event)``; ``seq`` is unique, so an event is
+        #: never compared and same-time events fire in insertion order.
+        self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._running = False
         self._event_count = 0
@@ -288,7 +288,7 @@ class Simulator:
             )
         event = Event(time, callback, args, kwargs)
         event._simulator = self
-        heapq.heappush(self._queue, _QueueEntry(time, next(self._sequence), event))
+        heapq.heappush(self._queue, (time, next(self._sequence), event))
         return event
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -331,27 +331,34 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run() call)")
         self._running = True
-        processed = 0
+        queue = self._queue
+        heappop = heapq.heappop
+        limit = float("inf") if until is None else until
+        stop_after = -1 if max_events is None else self._event_count + max(max_events, 1)
         try:
-            while self._queue:
-                entry = self._queue[0]
-                if until is not None and entry.time > until:
+            while queue:
+                time, seq, event = heappop(queue)
+                if time > limit:
+                    # Keys are unique, so pushing the entry back leaves the
+                    # pop order exactly as if it had only been peeked at.
+                    heapq.heappush(queue, (time, seq, event))
                     break
-                heapq.heappop(self._queue)
-                event = entry.event
                 if event.cancelled:
                     self._cancelled_in_queue -= 1
                     continue
-                self._now = entry.time
+                self._now = time
                 event.fired = True
-                event.result = event.callback(*event.args, **event.kwargs)
+                kwargs = event.kwargs
+                if kwargs is None:
+                    result = event.result = event.callback(*event.args)
+                else:
+                    result = event.result = event.callback(*event.args, **kwargs)
                 self._event_count += 1
-                processed += 1
                 if event._waiters is not None:
                     waiters, event._waiters = event._waiters, None
                     for waiter in waiters:
-                        waiter(event.result)
-                if max_events is not None and processed >= max_events:
+                        waiter(result)
+                if self._event_count == stop_after:
                     break
         finally:
             self._running = False

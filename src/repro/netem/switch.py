@@ -158,13 +158,14 @@ class SoftwareSwitch(Host):
         if in_port is None:
             self.packets_dropped += 1
             return
-        port = self.ports[in_port]
-        port.stats.rx_packets += 1
-        port.stats.rx_bytes += packet.size_bytes
+        stats = self.ports[in_port].stats
+        stats.rx_packets += 1
+        stats.rx_bytes += packet.size_bytes
 
         # Learn the source MAC so the fallback learning switch converges.
-        if packet.eth is not None and packet.eth.src != BROADCAST_MAC:
-            self.mac_table[packet.eth.src] = in_port
+        eth = packet.eth
+        if eth is not None and eth.src != BROADCAST_MAC:
+            self.mac_table[eth.src] = in_port
 
         if self.fastpath_enabled:
             verdict = self._fastpath_lookup(packet, in_port)
@@ -416,8 +417,9 @@ class SoftwareSwitch(Host):
         if port is None:
             self.packets_dropped += 1
             return
-        port.stats.tx_packets += 1
-        port.stats.tx_bytes += packet.size_bytes
+        stats = port.stats
+        stats.tx_packets += 1
+        stats.tx_bytes += packet.size_bytes
         self.packets_forwarded += 1
         self.tx_packets += 1
         port.interface.send(packet)

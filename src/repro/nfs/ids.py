@@ -44,8 +44,12 @@ class IntrusionDetector(NetworkFunction):
         self.port_scan_window_s = port_scan_window_s
         self.syn_flood_threshold = syn_flood_threshold
         self.syn_flood_window_s = syn_flood_window_s
-        # src ip -> deque of (time, dst_port)
+        # src ip -> deque of (time, dst_port) inside the port-scan window
         self._port_history: Dict[str, Deque[Tuple[float, int]]] = defaultdict(deque)
+        # src ip -> {dst_port: occurrences in that window}; its key count is
+        # the number of distinct ports, kept up to date per packet instead of
+        # rebuilding a set over the whole window.
+        self._port_counts: Dict[str, Dict[int, int]] = defaultdict(dict)
         # src ip -> deque of SYN times
         self._syn_history: Dict[str, Deque[float]] = defaultdict(deque)
         self.alerts_raised = 0
@@ -80,21 +84,30 @@ class IntrusionDetector(NetworkFunction):
     def _check_port_scan(self, packet: Packet, context: ProcessingContext) -> None:
         if not isinstance(packet.l4, TCPHeader) or packet.ip is None:
             return
-        history = self._port_history[packet.ip.src]
-        history.append((context.now, packet.l4.dst_port))
+        src = packet.ip.src
+        history = self._port_history[src]
+        counts = self._port_counts[src]
+        port = packet.l4.dst_port
+        history.append((context.now, port))
+        counts[port] = counts.get(port, 0) + 1
         cutoff = context.now - self.port_scan_window_s
         while history and history[0][0] < cutoff:
-            history.popleft()
-        distinct_ports = {port for _, port in history}
-        if len(distinct_ports) >= self.port_scan_threshold and packet.ip.src not in self._alerted_scanners:
-            self._alerted_scanners.add(packet.ip.src)
+            _, old_port = history.popleft()
+            remaining = counts[old_port] - 1
+            if remaining:
+                counts[old_port] = remaining
+            else:
+                del counts[old_port]
+        distinct_ports = len(counts)
+        if distinct_ports >= self.port_scan_threshold and src not in self._alerted_scanners:
+            self._alerted_scanners.add(src)
             self.port_scan_detections += 1
             self.alerts_raised += 1
             self.emit_notification(
                 context.now,
                 severity="warning",
-                message=f"port scan from {packet.ip.src}",
-                details={"src": packet.ip.src, "distinct_ports": len(distinct_ports)},
+                message=f"port scan from {src}",
+                details={"src": src, "distinct_ports": distinct_ports},
             )
 
     def _check_syn_flood(self, packet: Packet, context: ProcessingContext) -> None:

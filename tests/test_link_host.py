@@ -228,3 +228,110 @@ def test_server_ignores_traffic_for_other_destinations(simulator):
     simulator.run()
     assert server.requests_served == 0
     assert client.received == []
+
+
+# --------------------------------------------------------------------------
+# Per-direction accounting of the link hop
+# --------------------------------------------------------------------------
+
+
+def test_link_accounts_each_direction_and_delivers_to_the_peer(simulator):
+    a, b, link = make_pair(simulator)
+    a_iface, b_iface = a.primary_interface, b.primary_interface
+    up = pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2, payload_bytes=100)
+    down = [pkt.make_udp_packet("10.0.0.2", "10.0.0.1", 2, 1, payload_bytes=300) for _ in range(2)]
+    assert link.transmit(up, a_iface)
+    for packet in down:
+        assert link.transmit(packet, b_iface)
+    simulator.run()
+    assert [(packet, name) for packet, name, _ in b.received] == [(up, "b-eth0")]
+    assert [(packet, name) for packet, name, _ in a.received] == [(down[0], "a-eth0"), (down[1], "a-eth0")]
+    assert up.hops == 1 and down[0].hops == 1
+    a_to_b, b_to_a = link.stats(a_iface), link.stats(b_iface)
+    assert (a_to_b.tx_packets, a_to_b.tx_bytes) == (1, up.size_bytes)
+    assert (b_to_a.tx_packets, b_to_a.tx_bytes) == (2, 2 * down[0].size_bytes)
+    assert a_to_b.queued_high_water == 1
+    assert b_to_a.queued_high_water == 2
+    assert a_to_b.dropped_packets == b_to_a.dropped_packets == 0
+    total = link.total_stats
+    assert (total.tx_packets, total.tx_bytes) == (3, up.size_bytes + 2 * down[0].size_bytes)
+
+
+def test_link_down_drops_count_against_the_sending_direction(simulator):
+    a, b, link = make_pair(simulator)
+    link.set_up(False)
+    packet = pkt.make_udp_packet("10.0.0.2", "10.0.0.1", 2, 1, payload_bytes=50)
+    assert not link.transmit(packet, b.primary_interface)
+    simulator.run()
+    dropped = link.stats(b.primary_interface)
+    assert (dropped.dropped_packets, dropped.dropped_bytes) == (1, packet.size_bytes)
+    assert dropped.queued_high_water == 0
+    assert link.stats(a.primary_interface).dropped_packets == 0
+
+
+def test_link_going_down_in_flight_drops_on_delivery(simulator):
+    a, b, link = make_pair(simulator, delay=0.01)
+    packet = pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2)
+    assert link.transmit(packet, a.primary_interface)
+    simulator.schedule(0.005, link.set_up, False)
+    simulator.run()
+    stats = link.stats(a.primary_interface)
+    assert b.received == []
+    assert (stats.tx_packets, stats.dropped_packets, stats.dropped_bytes) == (0, 1, packet.size_bytes)
+    assert packet.hops == 0
+
+
+def test_full_queue_drops_and_high_water_per_direction(simulator):
+    a, b, link = make_pair(simulator, bandwidth=1e3, queue=3)
+    packets = [pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2, payload_bytes=500) for _ in range(5)]
+    accepted = [link.transmit(packet, a.primary_interface) for packet in packets]
+    assert accepted == [True, True, True, False, False]
+    stats = link.stats(a.primary_interface)
+    assert stats.queued_high_water == 3
+    assert (stats.dropped_packets, stats.dropped_bytes) == (2, 2 * packets[0].size_bytes)
+    simulator.run()
+    assert [packet for packet, _, _ in b.received] == packets[:3]
+    assert stats.tx_packets == 3
+    # The queue drained, so the next packet is accepted again.
+    assert link.transmit(pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2), a.primary_interface)
+    assert link.stats(b.primary_interface).queued_high_water == 0
+
+
+def test_link_arrival_time_is_the_exact_serialization_expression(simulator):
+    bandwidth, delay = 7e6, 0.0013
+    a, b, link = make_pair(simulator, bandwidth=bandwidth, delay=delay)
+    simulator.schedule(0.1, lambda: None)
+    simulator.run()
+    first = pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2, payload_bytes=999)
+    second = pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2, payload_bytes=333)
+    link.transmit(first, a.primary_interface)
+    link.transmit(second, a.primary_interface)
+    simulator.run()
+    busy = 0.1 + (first.size_bytes * 8) / bandwidth
+    assert b.received[0][2] == busy + delay
+    busy = busy + (second.size_bytes * 8) / bandwidth
+    assert b.received[1][2] == busy + delay
+
+
+def test_fluid_load_inflates_serialization_on_the_packet_path(simulator):
+    bandwidth, delay = 1e6, 0.0
+    a, b, link = make_pair(simulator, bandwidth=bandwidth, delay=delay)
+    link.set_fluid_load("a_to_b", 0.75 * bandwidth)
+    up = pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2, payload_bytes=1000)
+    down = pkt.make_udp_packet("10.0.0.2", "10.0.0.1", 2, 1, payload_bytes=1000)
+    link.transmit(up, a.primary_interface)
+    link.transmit(down, b.primary_interface)
+    simulator.run()
+    bare = (up.size_bytes * 8) / bandwidth
+    assert b.received[0][2] == pytest.approx(4 * bare)  # a quarter of the rate is left
+    assert a.received[0][2] == bare  # the other direction carries no fluid load
+
+
+def test_transmit_from_a_foreign_interface_is_rejected(simulator):
+    a, b, link = make_pair(simulator)
+    stranger = Interface("x", mac="02:00:00:00:00:99")
+    with pytest.raises(ValueError):
+        link.transmit(pkt.make_udp_packet("10.0.0.9", "10.0.0.2", 1, 2), stranger)
+    with pytest.raises(ValueError):
+        link.transmit_batch([pkt.make_udp_packet("10.0.0.9", "10.0.0.2", 1, 2)], stranger)
+    assert simulator.pending_events == 0

@@ -135,3 +135,38 @@ def test_app_payload_contributes_to_size():
     bare = pkt.make_tcp_packet("1.1.1.1", "2.2.2.2", 1, 2)
     with_http = pkt.make_http_request("1.1.1.1", "2.2.2.2", host="x.com")
     assert with_http.size_bytes > bare.size_bytes
+
+
+def test_packet_copy_clones_every_header_and_keeps_payload_fields_shallow():
+    packet = pkt.make_http_request("10.0.0.1", "10.0.0.2", host="example.org", path="/a")
+    packet.app.headers["cookie"] = "abc"
+    packet.metadata["tag"] = "original"
+    packet.hops = 3
+    size = packet.size_bytes
+    clone = packet.copy()
+    for name in ("eth", "ip", "l4", "app"):
+        original, copied = getattr(packet, name), getattr(clone, name)
+        assert copied is not original
+        assert type(copied) is type(original)
+        assert copied == original
+    # Below the headers the copy is shallow, as dataclasses.replace is.
+    assert clone.app.headers is packet.app.headers
+    clone.l4.dst_port = 8080
+    clone.eth.dst = "02:00:00:00:00:99"
+    clone.app.path = "/b"
+    assert (packet.l4.dst_port, packet.eth.dst, packet.app.path) == (80, "00:00:00:00:00:02", "/a")
+    assert clone.metadata == {"tag": "original"} and clone.metadata is not packet.metadata
+    assert (clone.hops, clone.created_at, clone.payload_bytes) == (3, packet.created_at, packet.payload_bytes)
+    assert clone.size_bytes == size
+
+
+def test_packet_copy_of_partial_packet_keeps_missing_headers_missing():
+    packet = pkt.Packet(eth=pkt.EthernetHeader("a", "b"), payload_bytes=10)
+    clone = packet.copy()
+    assert clone.ip is None and clone.l4 is None and clone.app is None
+    assert clone.eth is not packet.eth and clone.eth == packet.eth
+    assert clone.size_bytes == packet.size_bytes == 64
+    # The cache carried over, but the setters still invalidate it.
+    clone.payload_bytes = 100
+    assert clone.size_bytes == 114
+    assert packet.size_bytes == 64

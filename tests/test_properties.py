@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
+
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.stats import mean, percentile, summarize
@@ -12,6 +14,7 @@ from repro.netem.simulator import Simulator
 from repro.nfs.base import Direction, ProcessingContext
 from repro.nfs.dns_loadbalancer import DNSLoadBalancer
 from repro.nfs.firewall import Firewall, FirewallAction, FirewallRule
+from repro.nfs.ids import IntrusionDetector
 from repro.nfs.nat import NAT
 from repro.nfs.rate_limiter import TokenBucket
 from repro.telemetry.metrics import TimeSeries
@@ -201,6 +204,62 @@ def test_firewall_state_export_import_is_lossless(hosts):
     clone = Firewall()
     clone.import_state(firewall.export_state())
     assert clone.export_state() == firewall.export_state()
+
+
+# --------------------------------------------------------------------------
+# IDS port-scan detection: the per-source port->count map matches a set
+# rebuilt over the whole window for every packet
+# --------------------------------------------------------------------------
+
+
+def _set_rebuild_port_scan_alerts(trace, threshold, window_s):
+    """The reference rule: rebuild the distinct-port set on every packet."""
+    history = defaultdict(deque)
+    alerted = set()
+    alerts = []
+    for now, src, port in trace:
+        window = history[src]
+        window.append((now, port))
+        cutoff = now - window_s
+        while window and window[0][0] < cutoff:
+            window.popleft()
+        distinct = {seen for _, seen in window}
+        if len(distinct) >= threshold and src not in alerted:
+            alerted.add(src)
+            alerts.append((now, src, len(distinct)))
+    return alerts
+
+
+port_scan_traces = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0]),
+        st.sampled_from(["10.10.0.5", "10.10.0.6", "10.10.0.7"]),
+        st.integers(min_value=1, max_value=12),
+    ),
+    max_size=120,
+)
+
+
+@given(port_scan_traces, st.integers(min_value=1, max_value=8), st.sampled_from([0.0, 0.3, 1.0, 2.5]))
+@settings(max_examples=150, deadline=None)
+def test_ids_port_count_map_matches_set_rebuild(steps, threshold, window_s):
+    now = 0.0
+    trace = []
+    for gap, src, port in steps:
+        now += gap
+        trace.append((now, src, port))
+    ids = IntrusionDetector(port_scan_threshold=threshold, port_scan_window_s=window_s)
+    for at, src, port in trace:
+        packet = pkt.make_tcp_packet(src, "10.30.0.2", 40000, port)
+        context = ProcessingContext(now=at, direction=Direction.UPSTREAM, client_ip=src, station_name="s")
+        ids.process(packet, context)
+    alerts = [
+        (note.time, note.details["src"], note.details["distinct_ports"])
+        for note in ids.notifications
+        if note.message.startswith("port scan")
+    ]
+    assert alerts == _set_rebuild_port_scan_alerts(trace, threshold, window_s)
+    assert ids.port_scan_detections == len(alerts)
 
 
 # --------------------------------------------------------------------------

@@ -335,3 +335,147 @@ def test_drain_cancels_events():
     sim.drain(events)
     sim.run()
     assert seen == []
+
+
+# --------------------------------------------------------------------------
+# Heap entries are (time, seq, event): ties break on seq, never on the event
+# --------------------------------------------------------------------------
+
+
+class _Recorder:
+    def __init__(self, seen, label):
+        self.seen = seen
+        self.label = label
+
+    def fire(self):
+        self.seen.append(self.label)
+
+
+def test_same_time_ties_with_unorderable_callbacks_fire_in_insertion_order():
+    import functools
+
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.append("lambda-1"))
+    sim.schedule(1.0, _Recorder(seen, "bound-1").fire)
+    sim.schedule(1.0, functools.partial(seen.append, "partial"))
+    sim.schedule_at(1.0, seen.append, "builtin")
+    sim.schedule(1.0, lambda: seen.append("lambda-2"))
+    sim.schedule(1.0, _Recorder(seen, "bound-2").fire)
+    sim.run()
+    assert seen == ["lambda-1", "bound-1", "partial", "builtin", "lambda-2", "bound-2"]
+
+
+def test_events_scheduled_at_the_current_time_during_run_fire_after_earlier_ties():
+    sim = Simulator()
+    seen = []
+
+    def first():
+        seen.append("first")
+        sim.schedule(0.0, seen.append, "scheduled-by-first")
+
+    sim.schedule(1.0, first)
+    sim.schedule(1.0, seen.append, "second")
+    sim.run()
+    assert seen == ["first", "second", "scheduled-by-first"]
+
+
+def test_run_until_keeps_later_ties_in_insertion_order_across_calls():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, seen.append, "a")
+    for label in ("b", "c", "d"):
+        sim.schedule(2.0, seen.append, label)
+    sim.schedule(1.5, seen.append, "at-until")
+    sim.run(until=1.5)
+    assert seen == ["a", "at-until"]  # events at exactly ``until`` fire
+    assert sim.now == 1.5
+    assert sim.pending_events == 3
+    sim.schedule_at(2.0, seen.append, "e")
+    sim.run()
+    assert seen == ["a", "at-until", "b", "c", "d", "e"]
+
+
+def test_max_events_counts_only_fired_events_of_this_run():
+    sim = Simulator()
+    seen = []
+    cancelled = sim.schedule(0.5, seen.append, "cancelled")
+    for index in range(6):
+        sim.schedule(1.0 + index, seen.append, index)
+    cancelled.cancel()
+    sim.run(max_events=2)
+    assert seen == [0, 1]
+    sim.run(max_events=2)
+    assert seen == [0, 1, 2, 3]
+    # A non-positive budget still fires one event, as it always has.
+    sim.run(max_events=0)
+    assert seen == [0, 1, 2, 3, 4]
+    assert sim.events_processed == 5
+    assert sim.pending_events == 1
+
+
+def test_event_name_derived_from_callback_unless_explicit():
+    import functools
+
+    def tick():
+        return None
+
+    assert Event(1.0, tick).name == "tick"
+    assert Event(1.0, tick, name="heartbeat").name == "heartbeat"
+    assert Event(1.0, _Recorder([], "x").fire).name == "fire"
+    # A partial has no __name__ of its own.
+    assert Event(1.0, functools.partial(tick)).name == "event"
+
+
+def test_event_repr_shows_name_time_and_state():
+    sim = Simulator()
+
+    def tick():
+        return None
+
+    event = sim.schedule(1.25, tick)
+    assert repr(event) == "Event('tick', t=1.250000, pending)"
+    named = Event(2.0, tick, name="heartbeat")
+    assert repr(named) == "Event('heartbeat', t=2.000000, pending)"
+    sim.run()
+    assert repr(event) == "Event('tick', t=1.250000, fired)"
+    other = sim.schedule(1.0, tick)
+    other.cancel()
+    assert repr(other) == "Event('tick', t=2.250000, cancelled)"
+
+
+def test_callbacks_with_and_without_keyword_arguments():
+    sim = Simulator()
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append((args, kwargs))
+        return len(seen)
+
+    plain = sim.schedule(1.0, record, 1, 2)
+    keyed = sim.schedule(2.0, record, 3, flag=True, name="x")
+    bare = sim.schedule(3.0, record)
+    assert plain.kwargs is None
+    assert bare.kwargs is None
+    assert keyed.kwargs == {"flag": True, "name": "x"}
+    sim.run()
+    assert seen == [((1, 2), {}), ((3,), {"flag": True, "name": "x"}), ((), {})]
+    assert (plain.result, keyed.result, bare.result) == (1, 2, 3)
+
+
+def test_pending_events_tracks_cancels_before_and_after_they_are_popped():
+    sim = Simulator()
+    events = [sim.schedule(float(index), lambda: None) for index in range(1, 5)]
+    events[0].cancel()
+    events[2].cancel()
+    assert sim.pending_events == 2
+    assert sim.queued_events == 4
+    sim.run(until=2.5)  # pops the first cancel and fires event 2
+    assert sim.pending_events == 1
+    assert sim.queued_events == 2
+    events[1].cancel()  # already fired: no effect on the count
+    assert sim.pending_events == 1
+    sim.run()
+    assert sim.pending_events == 0
+    assert sim.queued_events == 0
+    assert [event.fired for event in events] == [False, True, False, True]
