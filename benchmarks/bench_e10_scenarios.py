@@ -17,7 +17,7 @@ import pytest
 from _bench_utils import run_once
 
 from repro.analysis.report import ExperimentResult
-from repro.scenarios import run_scenario, scenario_names
+from repro.scenarios import build_scenario, run_scenario, scenario_names
 
 SEED = 0
 
@@ -105,22 +105,17 @@ def test_e10_scenario_matrix(benchmark, record_experiment, e10_shard_counts):
     assert by_name["chaos-soak"]["faults"] >= 5
 
 
-#: Scenarios whose placement decisions legitimately differ by strategy:
-#: hotspot-stadium saturates a station (that divergence is benchmark E11's
-#: subject) and autoscale-daily-wave runs the autoscaler, whose replica and
-#: rebalance targets depend on where placement put the wave chains.
-_STRATEGY_VARIANT = {"hotspot-stadium", "autoscale-daily-wave"}
-
-
 def test_e10_placement_strategy_digest_invariance(benchmark):
     """The load-aware strategies prefer the client's station until it is
-    loaded, so on the unsaturated canned library (autoscaling off) every
-    strategy must replay to the identical digest as the default."""
+    loaded, so on the unsaturated canned library (autoscaling off, no pinned
+    strategy) every strategy must replay to the identical digest as the
+    default.  Each spec declares whether it is exempt
+    (:meth:`~repro.scenarios.spec.ScenarioSpec.placement_may_diverge`)."""
 
     def run_matrix():
         failures = []
         for name in scenario_names():
-            if name in _STRATEGY_VARIANT:
+            if build_scenario(name, seed=SEED).placement_may_diverge():
                 continue
             base = run_scenario(name, seed=SEED)
             for strategy in ("least-loaded", "bin-packing"):

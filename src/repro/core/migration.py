@@ -420,6 +420,7 @@ class StateTransferService:
         uplink_port = station.switch.ports.get(station.uplink_port)
         if uplink_port is None:
             return False
+        gateway_iface = topology.gateway.station_interfaces.get(transfer.from_station)
         packet = make_udp_packet(
             src_ip=source.ip,
             dst_ip=target.ip,
@@ -427,7 +428,7 @@ class StateTransferService:
             dst_port=MIGRATION_PORT,
             payload_bytes=chunk_bytes,
             src_mac=source.mac,
-            dst_mac=topology.gateway_mac_for.get(transfer.from_station, source.mac),
+            dst_mac=gateway_iface.mac if gateway_iface is not None else source.mac,
             created_at=self.simulator.now,
         )
         packet.metadata["migration_transfer"] = transfer.transfer_id

@@ -263,6 +263,8 @@ class GNFTestbed:
             mode=self.config.simulation_mode,
             epoch_s=self.config.fluid_epoch_s,
         )
+        if self.hybrid.hybrid_enabled:
+            self.topology.allow_fluid()
         self.hybrid.chain_predicate = self._flow_has_chain
         self.hybrid.migration_stations = (
             lambda: self.roaming.engine.transfers.active_transfer_stations()

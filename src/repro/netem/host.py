@@ -283,13 +283,19 @@ class Server(Host):
         self.icmp_echoes_served = 0
         self.udp_packets_echoed = 0
         self.bulk_bytes_received = 0
+        #: Set when the server sits on the core pipe (see
+        #: :class:`~repro.netem.topology.EdgeTopology`): responses are sent
+        #: as of their due time instead of from a scheduled event.
+        self.pipe = False
 
     def handle_packet(self, packet: "Packet", interface: Interface) -> None:
         # Ignore traffic not addressed to this server (e.g. flooded frames).
-        if packet.ip is None or (self.ip is not None and packet.ip.dst != self.ip):
+        server_ip = self.ip
+        if packet.ip is None or (server_ip is not None and packet.ip.dst != server_ip):
             return
 
         response: Optional["Packet"] = None
+        echo = False
         if isinstance(packet.app, pkt.HTTPRequest):
             self.requests_served += 1
             # ABR segment fetches name their own object size (the bitrate
@@ -311,6 +317,7 @@ class Server(Host):
             )
         elif packet.is_icmp and isinstance(packet.l4, pkt.ICMPHeader) and packet.l4.icmp_type == 8:
             self.icmp_echoes_served += 1
+            echo = True
             response = packet.copy()
             assert response.eth is not None and response.ip is not None
             response.eth = response.eth.swapped()
@@ -323,6 +330,7 @@ class Server(Host):
             self.bulk_bytes_received += packet.size_bytes
         elif packet.is_udp:
             self.udp_packets_echoed += 1
+            echo = True
             response = packet.copy()
             assert response.eth is not None and response.ip is not None and response.l4 is not None
             response.eth = response.eth.swapped()
@@ -334,12 +342,19 @@ class Server(Host):
             # Echo the client's original send timestamp so RTT measurement at
             # the client does not depend on clock bookkeeping in the server.
             response.metadata["request_created_at"] = packet.created_at
-            response.metadata.update(
-                {k: v for k, v in packet.metadata.items() if k.startswith("probe_")}
-            )
-            # Protocol tags ride back on the response so protocol-aware NFs
-            # (per-protocol cache admission) classify both directions alike.
-            for key in ("app_protocol", "quic_cid"):
-                if key in packet.metadata:
-                    response.metadata[key] = packet.metadata[key]
-            self.simulator.schedule(self.processing_delay_s, self.send, response, interface)
+            if not echo:
+                # An echo is a copy and already carries the request's
+                # metadata; a built response takes the probe tags, and the
+                # protocol tags that let protocol-aware NFs (per-protocol
+                # cache admission) classify both directions alike.
+                response.metadata.update(
+                    {k: v for k, v in packet.metadata.items() if k.startswith("probe_")}
+                )
+                for key in ("app_protocol", "quic_cid"):
+                    if key in packet.metadata:
+                        response.metadata[key] = packet.metadata[key]
+            due = self.simulator.now + self.processing_delay_s
+            if self.pipe:
+                self.simulator.call_as_of(due, self.send, response, interface)
+            else:
+                self.simulator.schedule_at(due, self.send, response, interface)

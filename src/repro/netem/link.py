@@ -10,10 +10,11 @@ so full-duplex behaviour matches an Ethernet or Wi-Fi backhaul link.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.netem.simulator import Simulator
+from repro.netem.simulator import SimulationError, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netem.host import Interface
@@ -45,7 +46,7 @@ class LinkStats:
 class _Direction:
     """State for one direction of a link."""
 
-    __slots__ = ("busy_until", "queue_depth", "stats", "fluid_load_bps")
+    __slots__ = ("busy_until", "queue_depth", "stats", "fluid_load_bps", "ledger", "cut_through", "sent_as_of")
 
     def __init__(self) -> None:
         self.busy_until = 0.0
@@ -56,6 +57,16 @@ class _Direction:
         #: is non-zero; at zero the arithmetic is bit-identical to the
         #: fluid-free link (the packet/hybrid digest-equivalence contract).
         self.fluid_load_bps = 0.0
+        #: ``None`` on the per-hop path.  On a pipe direction (see
+        #: :meth:`Link.set_pipe`) transmits run early, as of their send time,
+        #: so the drop-tail depth is read from this deque of committed
+        #: arrival times instead of a counter the deliver event lowers.
+        self.ledger: Optional[Deque[float]] = None
+        #: Pipe only: hand each packet to the receiver as of its arrival
+        #: instead of scheduling a deliver event.
+        self.cut_through = False
+        #: Pipe only: the latest send time; sends must come in time order.
+        self.sent_as_of = 0.0
 
 
 class Link:
@@ -134,6 +145,40 @@ class Link:
             return self._b_to_a, self.endpoint_a  # type: ignore[return-value]
         raise ValueError(f"interface {from_interface!r} is not attached to link {self.name}")
 
+    def set_pipe(self, from_interface: "Interface", enabled: bool, cut_through: bool = False) -> None:
+        """Put the direction sent by ``from_interface`` on the pipe, or take it off.
+
+        On the pipe, :meth:`transmit` may be called *as of* a future send
+        time (:meth:`Simulator.call_as_of`).  The Lindley recursion
+        ``busy = max(busy, now) + size/rate`` is then computed when the sender
+        knows the packet, which is exact as long as sends come in time order
+        and nothing else changes the direction meanwhile (no fluid load, no
+        fault, no loss).  With ``cut_through`` the receiver also gets the
+        packet as of its arrival, so the direction costs no event at all.
+        Only an idle direction can change mode.
+        """
+        direction = self._route(from_interface)[0]
+        now = self.simulator.now
+        if direction.queue_depth or (direction.ledger and direction.ledger[-1] > now):
+            raise SimulationError(f"link {self.name}: a direction changes pipe mode only while idle")
+        direction.ledger = deque() if enabled else None
+        direction.cut_through = enabled and cut_through
+        direction.sent_as_of = now
+
+    def _pipe_depth(self, direction: _Direction) -> int:
+        """Packets of a pipe direction still queued or in flight as of now."""
+        now = self.simulator.now
+        if now < direction.sent_as_of:
+            raise SimulationError(
+                f"link {self.name}: pipe send as of t={now} after one as of t={direction.sent_as_of}"
+            )
+        direction.sent_as_of = now
+        ledger = direction.ledger
+        assert ledger is not None
+        while ledger and ledger[0] <= now:
+            ledger.popleft()
+        return len(ledger)
+
     # ----------------------------------------------------- transmission
 
     def serialization_delay(self, size_bytes: int) -> float:
@@ -183,6 +228,8 @@ class Link:
             destination = self.endpoint_b
         else:
             direction, destination = self._route(from_interface)
+        if direction.ledger is not None:
+            return self._transmit_piped(packet, direction, destination)
         size = packet.size_bytes
         stats = direction.stats
 
@@ -208,6 +255,32 @@ class Link:
         self.simulator.schedule_at(arrival, self._deliver, packet, destination, direction, lost)
         return True
 
+    def _transmit_piped(self, packet: "Packet", direction: _Direction, destination: "Interface") -> bool:
+        """:meth:`transmit` on a pipe direction: the same arithmetic, the depth
+        from the ledger, and the receiver reached as of the arrival time."""
+        depth = self._pipe_depth(direction)
+        size = packet.size_bytes
+        stats = direction.stats
+        if not self.up or depth >= self.max_queue_packets:
+            stats.dropped_packets += 1
+            stats.dropped_bytes += size
+            return False
+        simulator = self.simulator
+        now = simulator.now
+        busy = direction.busy_until
+        start = busy if busy > now else now
+        busy = direction.busy_until = start + self._packet_serialization_delay(size, direction)
+        arrival = busy + self.delay_s
+        direction.ledger.append(arrival)  # type: ignore[union-attr]
+        if depth >= stats.queued_high_water:
+            stats.queued_high_water = depth + 1
+        lost = self.loss_rate > 0.0 and self._rng.random() < self.loss_rate
+        if direction.cut_through:
+            simulator.call_as_of(arrival, self._hand_on, packet, destination, stats, lost)
+        else:
+            simulator.schedule_at(arrival, self._hand_on, packet, destination, stats, lost)
+        return True
+
     def transmit_batch(self, packets: Iterable["Packet"], from_interface: "Interface") -> int:
         """Send a batch towards the peer under a **single** deliver event.
 
@@ -227,27 +300,33 @@ class Link:
                 direction.stats.record_drop(packet.size_bytes)
             return 0
 
+        ledger = direction.ledger
+        depth = direction.queue_depth if ledger is None else self._pipe_depth(direction)
         now = self.simulator.now
         start = max(now, direction.busy_until)
         lossy = self.loss_rate > 0.0
         accepted: List[Tuple["Packet", bool]] = []
         for packet in packets:
-            if direction.queue_depth >= self.max_queue_packets:
+            if depth >= self.max_queue_packets:
                 direction.stats.record_drop(packet.size_bytes)
                 continue
             start += self._packet_serialization_delay(packet.size_bytes, direction)
-            direction.queue_depth += 1
+            depth += 1
             lost = lossy and self._rng.random() < self.loss_rate
             accepted.append((packet, lost))
         if not accepted:
             return 0
 
         direction.busy_until = start
-        direction.stats.queued_high_water = max(
-            direction.stats.queued_high_water, direction.queue_depth
-        )
+        direction.stats.queued_high_water = max(direction.stats.queued_high_water, depth)
         arrival = direction.busy_until + self.delay_s
-        self.simulator.schedule_at(arrival, self._deliver_batch, accepted, destination, direction)
+        if ledger is None:
+            direction.queue_depth = depth
+            self.simulator.schedule_at(arrival, self._deliver_batch, accepted, destination, direction)
+        else:
+            ledger.extend([arrival] * len(accepted))
+            hand_on = self.simulator.call_as_of if direction.cut_through else self.simulator.schedule_at
+            hand_on(arrival, self._hand_on_batch, accepted, destination, direction.stats)
         return len(accepted)
 
     def _deliver(
@@ -257,8 +336,25 @@ class Link:
         direction: _Direction,
         lost: bool,
     ) -> None:
+        # The body of _hand_on, inline: this is the per-hop hot path.
         direction.queue_depth -= 1
         stats = direction.stats
+        size = packet.size_bytes
+        if lost or not self.up:
+            stats.dropped_packets += 1
+            stats.dropped_bytes += size
+            return
+        stats.tx_packets += 1
+        stats.tx_bytes += size
+        packet.hops += 1
+        destination.deliver(packet)
+
+    def _hand_on(self, packet: "Packet", destination: "Interface", stats: LinkStats, lost: bool) -> None:
+        """Count the packet out of the link and hand it to the receiver.
+
+        On the pipe this is the whole delivery: the ledger, not this call,
+        retires the packet from the queue.
+        """
         size = packet.size_bytes
         if lost or not self.up:
             stats.dropped_packets += 1
@@ -276,12 +372,20 @@ class Link:
         direction: _Direction,
     ) -> None:
         direction.queue_depth -= len(accepted)
+        self._hand_on_batch(accepted, destination, direction.stats)
+
+    def _hand_on_batch(
+        self,
+        accepted: List[Tuple["Packet", bool]],
+        destination: "Interface",
+        stats: LinkStats,
+    ) -> None:
         survivors: List["Packet"] = []
         for packet, lost in accepted:
             if lost or not self.up:
-                direction.stats.record_drop(packet.size_bytes)
+                stats.record_drop(packet.size_bytes)
                 continue
-            direction.stats.record_tx(packet.size_bytes)
+            stats.record_tx(packet.size_bytes)
             packet.hops += 1
             survivors.append(packet)
         if survivors:

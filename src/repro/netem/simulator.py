@@ -291,6 +291,25 @@ class Simulator:
         heapq.heappush(self._queue, (time, next(self._sequence), event))
         return event
 
+    def call_as_of(self, time: float, callback: Callable[..., Any], *args: Any) -> Any:
+        """Run ``callback(*args)`` now, with the clock reading ``time``.
+
+        The callback sees :attr:`now` as ``time`` (so anything it schedules
+        lands at the right absolute time); the clock is restored afterwards,
+        also when the callback raises.  This is not an event: nothing is
+        queued and :attr:`events_processed` does not move.  It is only exact
+        where nothing that fires between now and ``time`` could change what
+        the callback does -- the caller's structure has to guarantee that.
+        """
+        now = self._now
+        if time < now:
+            raise SimulationError(f"cannot run a callback as of t={time} before current time t={now}")
+        self._now = time
+        try:
+            return callback(*args)
+        finally:
+            self._now = now
+
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a generator-based :class:`Process` immediately."""
         proc = Process(self, generator, name=name)

@@ -105,6 +105,10 @@ class SoftwareSwitch(Host):
         # queued behind this deadline; in steady state it lies in the past
         # and hits apply inline.
         self._slowpath_busy_until: Dict[int, float] = {}
+        #: Set when the switch sits on the core pipe (see
+        #: :class:`~repro.netem.topology.EdgeTopology`): the slow path then
+        #: runs as of its deadline instead of as a scheduled event.
+        self.pipe = False
         self._next_port = 1
         self.packets_forwarded = 0
         self.packets_flooded = 0
@@ -168,7 +172,12 @@ class SoftwareSwitch(Host):
             self.mac_table[eth.src] = in_port
 
         if self.fastpath_enabled:
-            verdict = self._fastpath_lookup(packet, in_port)
+            table = self.flow_table
+            try:
+                key = FlowKey.extract(packet, in_port, table.referenced_metadata_keys)
+                verdict = self.flow_cache.lookup(key, table.generation)
+            except TypeError:  # unhashable metadata value: stay on the slow path
+                verdict = None
             if verdict is not None:
                 deadline = self._slowpath_busy_until.get(in_port, 0.0)
                 if deadline > self.simulator.now:
@@ -321,16 +330,12 @@ class SoftwareSwitch(Host):
             busy = self._slowpath_busy_until
             if deadline > busy.get(in_port, 0.0):
                 busy[in_port] = deadline
-            self.simulator.schedule_at(deadline, self._pipeline, packet, in_port)
+            if self.pipe:
+                self.simulator.call_as_of(deadline, self._pipeline, packet, in_port)
+            else:
+                self.simulator.schedule_at(deadline, self._pipeline, packet, in_port)
         else:
             self._pipeline(packet, in_port)
-
-    def _fastpath_lookup(self, packet: Packet, in_port: int) -> Optional[CompiledVerdict]:
-        try:
-            key = FlowKey.extract(packet, in_port, self.flow_table.referenced_metadata_keys)
-            return self.flow_cache.lookup(key, self.flow_table.generation)
-        except TypeError:  # unhashable metadata value: stay on the slow path
-            return None
 
     def _pipeline(self, packet: Packet, in_port: int) -> None:
         rule = self.flow_table.lookup(packet, in_port)

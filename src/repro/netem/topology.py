@@ -12,8 +12,9 @@ benchmarks (via the delay-weighted topology graph).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -174,11 +175,29 @@ class Gateway(Host):
         #: Registered by the migration engine so checkpoint chunks ride the
         #: same uplinks as client traffic (kept out of the client counters).
         self.migration_endpoints: Dict[str, Tuple[str, str]] = {}
-        self.packets_routed_upstream = 0
+        self._routed_upstream = 0
         self.packets_routed_downstream = 0
         self.packets_dropped = 0
         self.state_chunks_routed = 0
         self.location_updates = 0
+        #: Set when the gateway sits on the core pipe (see
+        #: :class:`EdgeTopology`): upstream routes to a server then run as of
+        #: their due time instead of from a scheduled event.
+        self.pipe = False
+        #: Pipe only: due times of upstream routes, in order.  A route that
+        #: already ran is not counted before its due time.
+        self._upstream_due: Deque[float] = deque()
+
+    @property
+    def packets_routed_upstream(self) -> int:
+        """Packets routed towards a server whose route is due by now."""
+        now = self.simulator.now
+        ahead = 0
+        for due in reversed(self._upstream_due):
+            if due <= now:
+                break
+            ahead += 1
+        return self._routed_upstream - ahead
 
     # ------------------------------------------------------------ registry
 
@@ -219,6 +238,14 @@ class Gateway(Host):
         if not packet.decrement_ttl():
             self.packets_dropped += 1
             return
+        if self.pipe and interface is not self.core_interface and packet.ip.dst in self.server_macs:
+            now = self.simulator.now
+            due = self._upstream_due
+            while due and due[0] <= now:
+                due.popleft()
+            due.append(now + self.forwarding_delay_s)
+            self.simulator.call_as_of(due[-1], self._route, packet)
+            return
         self.simulator.schedule(self.forwarding_delay_s, self._route, packet)
 
     def _route(self, packet: Packet) -> None:
@@ -231,7 +258,7 @@ class Gateway(Host):
             if packet.eth is not None:
                 packet.eth.src = self.core_interface.mac
                 packet.eth.dst = self.server_macs[destination]
-            self.packets_routed_upstream += 1
+            self._routed_upstream += 1
             self.core_interface.send(packet)
             return
         endpoint = self.migration_endpoints.get(destination)
@@ -257,7 +284,19 @@ class Gateway(Host):
 
 
 class EdgeTopology:
-    """The full emulated deployment: gateway, core, servers and edge stations."""
+    """The full emulated deployment: gateway, core, servers and edge stations.
+
+    **The core pipe.**  Where it is exact, the fixed core between gateway
+    and server runs "on the pipe": the gateway's upstream route, the core
+    switch's slow path and the server's response timer run as of their due
+    time (:meth:`Simulator.call_as_of`), and a core link whose receiver is
+    not a server hands the packet on as of its arrival.  It is exact when
+    nothing that fires in between can change what the early work does,
+    which holds by structure when the core switch has exactly two ports
+    (one server) and no flow rules, no fluid load can reach a core link
+    (see :meth:`allow_fluid`), and the core links are up and lossless
+    (faults target station uplinks only).  See ``docs/ARCHITECTURE.md``.
+    """
 
     def __init__(
         self,
@@ -277,6 +316,9 @@ class EdgeTopology:
         self.links: List[Link] = []
         #: station name -> its uplink to the gateway (fault-injection handle).
         self.uplink_links: Dict[str, Link] = {}
+        #: ``gw-core-link`` and every server's core link.
+        self._core_links: List[Link] = []
+        self._fluid_allowed = False
         self._build_core()
         for index in range(self.config.station_count):
             self.add_station(f"station-{index + 1}")
@@ -302,6 +344,7 @@ class EdgeTopology:
         )
         link.attach(gw_core_iface, core_port_iface)
         self.links.append(link)
+        self._core_links.append(link)
 
     def add_station(
         self,
@@ -370,10 +413,47 @@ class EdgeTopology:
         )
         link.attach(server_iface, core_iface)
         self.links.append(link)
+        self._core_links.append(link)
         assert server_iface.ip is not None
         self.gateway.register_server(server_iface.ip, server_iface.mac)
         self.servers[name] = server
+        self._update_core_pipe()
         return server
+
+    # ------------------------------------------------------------ core pipe
+
+    @property
+    def core_pipe(self) -> bool:
+        """Whether the core currently runs on the pipe (see the class docs)."""
+        return self.gateway.pipe
+
+    def allow_fluid(self) -> None:
+        """Declare that fluid flows may load the core links (hybrid mode).
+
+        Fluid load changes a link's serialization rate between a packet's
+        send and its due time, so this keeps the core on the per-hop path.
+        """
+        self._fluid_allowed = True
+        self._update_core_pipe()
+
+    def _update_core_pipe(self) -> None:
+        switch = self.core_switch
+        on = (
+            not self._fluid_allowed
+            and len(switch.ports) == 2
+            and len(switch.flow_table) == 0
+            and all(link.up and link.loss_rate == 0.0 for link in self._core_links)
+        )
+        if on == self.gateway.pipe:
+            return  # links start per hop, and a pipe core never gains a link
+        for link in self._core_links:
+            for sender in (link.endpoint_a, link.endpoint_b):
+                assert sender is not None
+                receiver = link.peer_of(sender).owner
+                link.set_pipe(sender, on, cut_through=not isinstance(receiver, Server))
+        switch.pipe = self.gateway.pipe = on
+        for server in self.servers.values():
+            server.pipe = on
 
     # ------------------------------------------------------- cells/clients
 
@@ -402,11 +482,6 @@ class EdgeTopology:
         self.gateway.register_client(client_ip, client_mac, station_name)
 
     # ------------------------------------------------------------- queries
-
-    @property
-    def gateway_mac_for(self) -> Dict[str, str]:
-        """Map of station name -> MAC address the gateway uses on that link."""
-        return {name: iface.mac for name, iface in self.gateway.station_interfaces.items()}
 
     def station(self, name: str) -> EdgeStation:
         return self.stations[name]

@@ -693,6 +693,7 @@ def _hotspot_stadium(seed: int) -> ScenarioSpec:
         assignments.append(ChainAssignmentSpec(fleet=name, nfs=["firewall"], attach_at_s=1.0))
     return ScenarioSpec(
         name="hotspot-stadium",
+        saturating=True,
         description=(
             "Twenty clients mob station-1 of a four-station deployment and "
             "all want firewall + flow-monitor chains: far more than one "

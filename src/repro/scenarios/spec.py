@@ -24,6 +24,23 @@ ERA_SCALABLE_KINDS = ("cbr", "http", "dns", "video", "quic", "abr")
 SIMULATION_MODES = ("packet", "hybrid")
 FAULT_KINDS = ("station-crash", "link-degrade", "link-down", "container-oom")
 STATION_PROFILES = ("router", "server")
+#: NF types an assignment may name: the default catalogue's
+#: (``NFRepository.with_default_catalog().types()``, kept in lockstep by the
+#: scenario tests), so a misspelt type fails validation, not the run.
+NF_TYPES = (
+    "amf",
+    "cache",
+    "dns-loadbalancer",
+    "firewall",
+    "flow-monitor",
+    "http-filter",
+    "ids",
+    "load-balancer",
+    "nat",
+    "rate-limiter",
+    "smf",
+    "upf",
+)
 MIGRATION_STRATEGIES = ("cold", "stateful", "precopy")
 #: Placement strategy names a spec (or the ``--placement`` CLI flag) may
 #: select; kept in lockstep with ``repro.core.placement.STRATEGY_FACTORIES``
@@ -284,6 +301,11 @@ class ChainAssignmentSpec:
         for nf_type, _ in self.nf_specs():
             if not nf_type:
                 raise ScenarioSpecError(f"assignment for fleet {self.fleet!r} has an empty NF type")
+            if nf_type not in NF_TYPES:
+                raise ScenarioSpecError(
+                    f"assignment for fleet {self.fleet!r} names unknown NF type {nf_type!r}; "
+                    f"valid: {NF_TYPES}"
+                )
         if self.attach_at_s < 0:
             raise ScenarioSpecError(f"attach_at_s must be >= 0, got {self.attach_at_s}")
         if self.detach_at_s is not None and self.detach_at_s <= self.attach_at_s:
@@ -642,6 +664,24 @@ class ScenarioSpec:
     #: Piecewise traffic-share schedule (strictly increasing ``at_s``); the
     #: runner rescales era-scalable generators at every boundary.
     eras: List[TrafficEraSpec] = field(default_factory=list)
+    #: Declared by scenarios that load stations past capacity on purpose:
+    #: placement strategies then legitimately disagree.
+    saturating: bool = False
+
+    def placement_may_diverge(self) -> bool:
+        """Whether replaying under another placement strategy may change the digest.
+
+        True when the spec pins a strategy other than the closest-agent
+        default (an override replaces what it asked for), runs the
+        autoscaler (its targets follow placement) or declares itself
+        saturating.  The strategy-invariance checks skip such specs.
+        """
+        topology = self.topology
+        return (
+            self.saturating
+            or topology.autoscale_enabled
+            or topology.placement_strategy != "closest-agent"
+        )
 
     def validate(self) -> "ScenarioSpec":
         if not self.name:
@@ -720,4 +760,5 @@ class ScenarioSpec:
             "upgrades": [upgrade.to_dict() for upgrade in self.upgrades],
             "faults": [fault.to_dict() for fault in self.faults],
             "eras": [era.to_dict() for era in self.eras],
+            "saturating": self.saturating,
         }

@@ -182,7 +182,7 @@ class HandoverManager:
         station = self.topology.station(target.station_name)
         station.register_client(client.ip, target.name)
         self.topology.register_client(client.ip, client.mac, target.station_name)
-        client.gateway_mac = self.topology.gateway_mac_for[target.station_name]
+        client.gateway_mac = self.topology.gateway.station_interfaces[target.station_name].mac
 
     def _start_handover(self, client: MobileClient, old_cell: Cell, new_cell: Cell) -> None:
         event = HandoverEvent(
@@ -209,7 +209,7 @@ class HandoverManager:
         new_station = self.topology.station(new_cell.station_name)
         new_station.register_client(client.ip, new_cell.name)
         self.topology.register_client(client.ip, client.mac, new_cell.station_name)
-        client.gateway_mac = self.topology.gateway_mac_for[new_cell.station_name]
+        client.gateway_mac = self.topology.gateway.station_interfaces[new_cell.station_name].mac
         event.completed_at = self.simulator.now
         self._in_progress.pop(client.name, None)
         for listener in self._completed_listeners:

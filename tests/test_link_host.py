@@ -7,7 +7,7 @@ import pytest
 from repro.netem import packet as pkt
 from repro.netem.host import Host, Interface, Server, VethPair
 from repro.netem.link import Link
-from repro.netem.simulator import Simulator
+from repro.netem.simulator import SimulationError, Simulator
 
 
 class RecordingHost(Host):
@@ -335,3 +335,66 @@ def test_transmit_from_a_foreign_interface_is_rejected(simulator):
     with pytest.raises(ValueError):
         link.transmit_batch([pkt.make_udp_packet("10.0.0.9", "10.0.0.2", 1, 2)], stranger)
     assert simulator.pending_events == 0
+
+
+# --------------------------------------------------------------------------
+# Pipe directions (sends run as of their send time)
+# --------------------------------------------------------------------------
+
+
+def _piped_sends(pipe, cut_through=False):
+    """Batches and singles sent at fixed times, either from events (per-hop)
+    or as of those times from one earlier call (pipe)."""
+    simulator = Simulator()
+    a_host, b_host, link = make_pair(simulator, bandwidth=1e6, delay=0.01, queue=4)
+    a = a_host.primary_interface
+    if pipe:
+        link.set_pipe(a, True, cut_through=cut_through)
+    plan = [(0.0, [500, 500, 500]), (0.001, [1500]), (0.002, [300, 300, 300]), (0.05, [100])]
+
+    def send(sizes):
+        packets = [pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2, payload_bytes=s) for s in sizes]
+        if len(packets) == 1:
+            link.transmit(packets[0], a)
+        else:
+            link.transmit_batch(packets, a)
+
+    for at, sizes in plan:
+        if pipe:
+            simulator.call_as_of(at, send, sizes)
+        else:
+            simulator.schedule_at(at, send, sizes)
+    simulator.run()
+    stats = link.stats(a)
+    arrivals = [(packet.size_bytes, at) for packet, _, at in b_host.received]
+    return arrivals, (stats.tx_packets, stats.dropped_packets, stats.queued_high_water)
+
+
+@pytest.mark.parametrize("cut_through", [False, True])
+def test_pipe_direction_matches_per_hop_sends(cut_through):
+    per_hop = _piped_sends(pipe=False)
+    piped = _piped_sends(pipe=True, cut_through=cut_through)
+    assert piped == per_hop
+    assert per_hop[1][1] > 0 and per_hop[1][2] == 4  # the queue filled and dropped
+
+
+def test_pipe_rejects_sends_out_of_time_order(simulator):
+    a_host, _, link = make_pair(simulator)
+    a = a_host.primary_interface
+    link.set_pipe(a, True)
+    simulator.call_as_of(1.0, link.transmit, pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2), a)
+    with pytest.raises(SimulationError):
+        simulator.call_as_of(0.5, link.transmit, pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2), a)
+
+
+def test_pipe_mode_changes_only_while_the_direction_is_idle(simulator):
+    a_host, _, link = make_pair(simulator)
+    a = a_host.primary_interface
+    link.transmit(pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2), a)
+    with pytest.raises(SimulationError):
+        link.set_pipe(a, True)
+    simulator.run()
+    link.set_pipe(a, True)
+    simulator.call_as_of(simulator.now + 1.0, link.transmit, pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2), a)
+    with pytest.raises(SimulationError):
+        link.set_pipe(a, False)

@@ -141,8 +141,10 @@ def test_digest_invariant_across_placement_strategies_when_unloaded():
     canned library replays to the *identical* digest under every engine
     strategy.  The load-aware strategies prefer the client's station until
     it is actually loaded, so on the (unsaturated) historical scenarios they
-    must make exactly the closest-agent decisions -- byte for byte."""
+    must make exactly the closest-agent decisions -- byte for byte.  The
+    scenarios are ones whose spec declares no reason to diverge."""
     for name in ("fig2-roaming", "flash-crowd", "firewall-churn"):
+        assert not build_scenario(name, seed=0).placement_may_diverge(), name
         base = run_scenario(name, seed=0)
         for strategy in ("closest-agent", "least-loaded", "latency-weighted", "bin-packing"):
             other = run_scenario(name, seed=0, placement_strategy=strategy)
@@ -151,6 +153,19 @@ def test_digest_invariant_across_placement_strategies_when_unloaded():
                 strategy,
                 base.digest.diff(other.digest),
             )
+
+
+def test_placement_divergence_is_declared_by_the_spec():
+    # The strategy-invariance checks (here and in bench E10) skip exactly the
+    # specs that pin a strategy, autoscale, or declare themselves saturating.
+    assert build_scenario("slo-tight-embedding", seed=0).placement_may_diverge()
+    assert build_scenario("autoscale-daily-wave", seed=0).placement_may_diverge()
+    assert build_scenario("hotspot-stadium", seed=0).placement_may_diverge()
+    spec = build_scenario("fig2-roaming", seed=0)
+    assert not spec.placement_may_diverge()
+    spec.saturating = True
+    assert spec.placement_may_diverge()
+    assert spec.to_dict()["saturating"] is True
 
 
 def test_handover_jitter_is_seeded_not_global():

@@ -69,6 +69,25 @@ def test_spec_validation_rejects_bad_inputs():
         ).validate()
 
 
+def test_spec_validation_rejects_unknown_nf_types():
+    # A misspelt NF type fails validation instead of the run (CatalogError
+    # mid-simulation); the accepted set is exactly the default catalogue.
+    from repro.core.repository import NFRepository
+    from repro.scenarios.spec import NF_TYPES
+
+    assert NF_TYPES == tuple(NFRepository.with_default_catalog().types())
+    fleets = [ClientFleetSpec(name="a")]
+    with pytest.raises(ScenarioSpecError, match="dns-lb"):
+        ScenarioSpec(
+            name="x", fleets=fleets,
+            assignments=[ChainAssignmentSpec(fleet="a", nfs=["firewall", "dns-lb"])],
+        ).validate()
+    ScenarioSpec(
+        name="x", fleets=fleets,
+        assignments=[ChainAssignmentSpec(fleet="a", nfs=["firewall", "dns-loadbalancer"])],
+    ).validate()
+
+
 def test_spec_round_trips_to_plain_data():
     spec = build_scenario("chaos-soak", seed=5)
     data = spec.to_dict()

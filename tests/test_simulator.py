@@ -479,3 +479,68 @@ def test_pending_events_tracks_cancels_before_and_after_they_are_popped():
     assert sim.pending_events == 0
     assert sim.queued_events == 0
     assert [event.fired for event in events] == [False, True, False, True]
+
+
+# --------------------------------------------------------------------------
+# call_as_of
+# --------------------------------------------------------------------------
+
+
+def test_call_as_of_runs_now_with_the_clock_at_the_given_time():
+    sim = Simulator()
+    seen = []
+    sim.schedule_at(1.0, lambda: seen.append(("as-of", sim.call_as_of(1.5, lambda: sim.now), sim.now)))
+    sim.run()
+    assert seen == [("as-of", 1.5, 1.0)]
+    # Not an event: only the scheduled callback was counted.
+    assert sim.events_processed == 1
+
+
+def test_call_as_of_restores_the_clock_after_an_exception():
+    sim = Simulator(start_time=2.0)
+
+    def boom():
+        assert sim.now == 3.0
+        raise ValueError("boom")
+
+    with pytest.raises(ValueError):
+        sim.call_as_of(3.0, boom)
+    assert sim.now == 2.0
+
+
+def test_call_as_of_nests():
+    sim = Simulator()
+    times = []
+
+    def inner():
+        times.append(sim.now)
+
+    def outer():
+        times.append(sim.now)
+        sim.call_as_of(sim.now + 0.25, inner)
+        times.append(sim.now)
+
+    sim.call_as_of(1.0, outer)
+    assert times == [1.0, 1.25, 1.0]
+    assert sim.now == 0.0
+
+
+def test_call_as_of_rejects_the_past():
+    sim = Simulator(start_time=5.0)
+    with pytest.raises(SimulationError):
+        sim.call_as_of(4.999, lambda: None)
+    assert sim.now == 5.0
+    # Inside an as-of call the past is measured from the as-of time.
+    with pytest.raises(SimulationError):
+        sim.call_as_of(6.0, lambda: sim.call_as_of(5.5, lambda: None))
+    assert sim.now == 5.0
+
+
+def test_events_scheduled_as_of_land_at_absolute_times():
+    sim = Simulator()
+    fired = []
+    sim.call_as_of(2.0, lambda: sim.schedule(0.5, lambda: fired.append(sim.now)))
+    sim.call_as_of(1.0, lambda: sim.schedule_at(1.25, lambda: fired.append(sim.now)))
+    assert sim.now == 0.0 and sim.pending_events == 2
+    sim.run()
+    assert fired == [1.25, 2.5]

@@ -219,7 +219,7 @@ def test_client_traffic_reaches_server_through_cell(simulator, topology):
     station = topology.station("station-1")
     station.register_client(client.ip, cell.name)
     topology.register_client(client.ip, client.mac, "station-1")
-    client.gateway_mac = topology.gateway_mac_for["station-1"]
+    client.gateway_mac = topology.gateway.station_interfaces["station-1"].mac
 
     received = []
     client.add_receive_listener(received.append)
