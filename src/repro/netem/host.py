@@ -29,6 +29,8 @@ class Interface:
     An interface either hangs off a :class:`~repro.netem.link.Link` or has a
     ``delivery_override`` installed (used for veth endpoints that hand packets
     straight to an NF container without an emulated wire in between).
+    Interfaces keep no traffic counters; the link's per-direction
+    ``LinkStats`` and the switch's ``PortStats`` count what crosses them.
     """
 
     def __init__(
@@ -48,10 +50,6 @@ class Interface:
         #: arriving batch is handed over in one call (NF containers use this
         #: to process a burst under a single simulator event).
         self.batch_delivery_override: Optional[BatchHandler] = None
-        self.rx_packets = 0
-        self.rx_bytes = 0
-        self.tx_packets = 0
-        self.tx_bytes = 0
         self.up = True
 
     # ------------------------------------------------------------------ I/O
@@ -60,8 +58,6 @@ class Interface:
         """Called by the link (or a veth peer) when a packet arrives here."""
         if not self.up:
             return
-        self.rx_packets += 1
-        self.rx_bytes += packet.size_bytes
         if self.delivery_override is not None:
             self.delivery_override(packet, self)
             return
@@ -75,8 +71,6 @@ class Interface:
         packets = list(packets)
         if not packets:
             return
-        self.rx_packets += len(packets)
-        self.rx_bytes += sum(packet.size_bytes for packet in packets)
         if self.batch_delivery_override is not None:
             self.batch_delivery_override(packets, self)
             return
@@ -95,8 +89,6 @@ class Interface:
         """
         if not self.up:
             return False
-        self.tx_packets += 1
-        self.tx_bytes += packet.size_bytes
         if self.link is not None:
             return self.link.transmit(packet, self)
         return False
@@ -115,8 +107,6 @@ class Interface:
         if not packets:
             return 0
         if self.link is not None:
-            self.tx_packets += len(packets)
-            self.tx_bytes += sum(packet.size_bytes for packet in packets)
             return self.link.transmit_batch(packets, self)
         return sum(1 for packet in packets if self.send(packet))
 
@@ -149,13 +139,9 @@ class VethPair:
         self._wire(self.end_b, self.end_a)
 
     def _wire(self, src: Interface, dst: Interface) -> None:
-        original_send = src.send
-
         def send_via_peer(packet: "Packet") -> bool:
             if not src.up:
                 return False
-            src.tx_packets += 1
-            src.tx_bytes += packet.size_bytes
             if self.crossing_delay_s > 0:
                 self.simulator.schedule(self.crossing_delay_s, dst.deliver, packet)
             else:
@@ -168,8 +154,6 @@ class VethPair:
             packets = list(packets)
             if not packets:
                 return 0
-            src.tx_packets += len(packets)
-            src.tx_bytes += sum(packet.size_bytes for packet in packets)
             if self.crossing_delay_s > 0:
                 self.simulator.schedule(self.crossing_delay_s, dst.deliver_batch, packets)
             else:
@@ -179,7 +163,6 @@ class VethPair:
         # Replace the bound send with the veth-crossing version.
         src.send = send_via_peer  # type: ignore[method-assign]
         src.send_batch = send_batch_via_peer  # type: ignore[method-assign]
-        src._original_send = original_send  # type: ignore[attr-defined]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"VethPair({self.name!r})"
@@ -193,8 +176,6 @@ class Host:
         self.name = name
         self.interfaces: Dict[str, Interface] = {}
         self.packet_handler: Optional[PacketHandler] = None
-        self.rx_packets = 0
-        self.tx_packets = 0
 
     # -------------------------------------------------------------- wiring
 
@@ -228,7 +209,6 @@ class Host:
 
     def receive_packet(self, packet: "Packet", interface: Interface) -> None:
         """Entry point for packets arriving on any of this host's interfaces."""
-        self.rx_packets += 1
         if self.packet_handler is not None:
             self.packet_handler(packet, interface)
             return
@@ -249,7 +229,6 @@ class Host:
     def send(self, packet: "Packet", interface: Optional[Interface] = None) -> bool:
         """Send a packet out of ``interface`` (default: primary)."""
         out = interface or self.primary_interface
-        self.tx_packets += 1
         return out.send(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

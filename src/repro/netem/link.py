@@ -226,8 +226,11 @@ class Link:
         if from_interface is self.endpoint_a:
             direction = self._a_to_b
             destination = self.endpoint_b
+        elif from_interface is self.endpoint_b:
+            direction = self._b_to_a
+            destination = self.endpoint_a
         else:
-            direction, destination = self._route(from_interface)
+            direction, destination = self._route(from_interface)  # raises
         if direction.ledger is not None:
             return self._transmit_piped(packet, direction, destination)
         size = packet.size_bytes
@@ -269,7 +272,10 @@ class Link:
         now = simulator.now
         busy = direction.busy_until
         start = busy if busy > now else now
-        busy = direction.busy_until = start + self._packet_serialization_delay(size, direction)
+        if direction.fluid_load_bps <= 0.0:
+            busy = direction.busy_until = start + (size * 8) / self.bandwidth_bps
+        else:
+            busy = direction.busy_until = start + self._packet_serialization_delay(size, direction)
         arrival = busy + self.delay_s
         direction.ledger.append(arrival)  # type: ignore[union-attr]
         if depth >= stats.queued_high_water:

@@ -207,13 +207,13 @@ class Packet:
     balancer) exactly as their real counterparts would.  ``copy()`` produces
     a deep-enough clone for fan-out situations (e.g. flooding).
 
-    ``size_bytes`` is computed lazily and cached -- it is consulted many
-    times per hop (port counters, link serialization, NF accounting) and
-    recomputing it dominated the data plane.  In-place *field* rewrites
-    (addresses, ports, TTL) never change the size; replacing ``app`` or
-    ``payload_bytes`` does and invalidates the cache through their setters.
-    Swapping a header object for one of the same type (``swapped()`` /
-    ``reply()``) is size-neutral by construction.
+    ``size_bytes`` is a plain field, read many times per hop (port
+    counters, link serialization, NF accounting).  It is computed when the
+    packet is built and again by the ``app`` and ``payload_bytes`` setters,
+    the only mutations that change a size.  In-place *field* rewrites
+    (addresses, ports, TTL) never change it, and swapping a header object
+    for one of the same type (``swapped()`` / ``reply()``) is size-neutral
+    by construction.
     """
 
     __slots__ = (
@@ -223,7 +223,7 @@ class Packet:
         "l4",
         "_app",
         "_payload_bytes",
-        "_size_cache",
+        "size_bytes",
         "created_at",
         "metadata",
         "hops",
@@ -244,7 +244,8 @@ class Packet:
         self.l4 = l4
         self._app = app
         self._payload_bytes = payload_bytes
-        self._size_cache: Optional[int] = None
+        #: Total on-the-wire size, derived from present headers + payload.
+        self.size_bytes = self._compute_size()
         self.created_at = created_at
         self.metadata: Dict[str, object] = {}
         self.hops = 0
@@ -258,7 +259,7 @@ class Packet:
     @app.setter
     def app(self, value: ApplicationPayload) -> None:
         self._app = value
-        self._size_cache = None
+        self.size_bytes = self._compute_size()
 
     @property
     def payload_bytes(self) -> int:
@@ -267,15 +268,7 @@ class Packet:
     @payload_bytes.setter
     def payload_bytes(self, value: int) -> None:
         self._payload_bytes = value
-        self._size_cache = None
-
-    @property
-    def size_bytes(self) -> int:
-        """Total on-the-wire size, derived from present headers + payload."""
-        cached = self._size_cache
-        if cached is None:
-            cached = self._size_cache = self._compute_size()
-        return cached
+        self.size_bytes = self._compute_size()
 
     def _compute_size(self) -> int:
         size = self._payload_bytes
@@ -333,19 +326,19 @@ class Packet:
         """Clone the packet (new identity, copied headers and metadata).
 
         Headers and the application payload are cloned one level deep (see
-        :func:`_shallow_clone`); the clone has the same size, so the cached
-        size carries over.
+        :func:`_shallow_clone`); the clone has the same size, so the size
+        field carries over instead of being recomputed.
         """
         eth, ip, l4, app = self.eth, self.ip, self.l4, self._app
-        clone = Packet(
-            eth=_shallow_clone(eth) if eth is not None else None,
-            ip=_shallow_clone(ip) if ip is not None else None,
-            l4=_shallow_clone(l4) if l4 is not None else None,
-            app=_shallow_clone(app) if app is not None else None,
-            payload_bytes=self._payload_bytes,
-            created_at=self.created_at,
-        )
-        clone._size_cache = self._size_cache
+        clone = object.__new__(Packet)
+        clone.packet_id = next(_packet_ids)
+        clone.eth = _shallow_clone(eth) if eth is not None else None
+        clone.ip = _shallow_clone(ip) if ip is not None else None
+        clone.l4 = _shallow_clone(l4) if l4 is not None else None
+        clone._app = _shallow_clone(app) if app is not None else None
+        clone._payload_bytes = self._payload_bytes
+        clone.size_bytes = self.size_bytes
+        clone.created_at = self.created_at
         clone.metadata = dict(self.metadata)
         clone.hops = self.hops
         return clone

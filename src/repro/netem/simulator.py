@@ -233,7 +233,8 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = start_time
+        #: Current simulated time in seconds (written only by the kernel).
+        self.now = start_time
         #: Heap of ``(time, seq, event)``; ``seq`` is unique, so an event is
         #: never compared and same-time events fire in insertion order.
         self._queue: List[Tuple[float, int, Event]] = []
@@ -243,11 +244,6 @@ class Simulator:
         self._cancelled_in_queue = 0
 
     # ------------------------------------------------------------------ clock
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -278,13 +274,13 @@ class Simulator:
         """Schedule ``callback(*args, **kwargs)`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args, **kwargs)
+        return self.schedule_at(self.now + delay, callback, *args, **kwargs)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
         """Schedule ``callback`` at an absolute simulated time."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self._now}"
+                f"cannot schedule event at t={time} before current time t={self.now}"
             )
         event = Event(time, callback, args, kwargs)
         event._simulator = self
@@ -301,14 +297,14 @@ class Simulator:
         where nothing that fires between now and ``time`` could change what
         the callback does -- the caller's structure has to guarantee that.
         """
-        now = self._now
+        now = self.now
         if time < now:
             raise SimulationError(f"cannot run a callback as of t={time} before current time t={now}")
-        self._now = time
+        self.now = time
         try:
             return callback(*args)
         finally:
-            self._now = now
+            self.now = now
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a generator-based :class:`Process` immediately."""
@@ -365,7 +361,7 @@ class Simulator:
                 if event.cancelled:
                     self._cancelled_in_queue -= 1
                     continue
-                self._now = time
+                self.now = time
                 event.fired = True
                 kwargs = event.kwargs
                 if kwargs is None:
@@ -381,13 +377,13 @@ class Simulator:
                     break
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> float:
         """Run for ``duration`` additional simulated seconds."""
-        return self.run(until=self._now + duration, max_events=max_events)
+        return self.run(until=self.now + duration, max_events=max_events)
 
     def drain(self, events: Iterable[Event]) -> None:
         """Cancel a collection of events (convenience for teardown)."""
@@ -395,4 +391,4 @@ class Simulator:
             event.cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Simulator(now={self._now:.6f}, pending={len(self._queue)})"
+        return f"Simulator(now={self.now:.6f}, pending={len(self._queue)})"

@@ -10,8 +10,10 @@ follows a two-stage pipeline:
    chains ("transparent traffic handling"), and
 2. a learning L2 switch fallback for everything without an explicit rule.
 
-The switch also keeps per-port counters that feed the Manager's "network
-resource consumption" view shown in the demo UI.
+The switch keeps per-port packet and byte counters (:meth:`port_stats`)
+and switch-wide forwarding counters (:meth:`summary`, which Agent
+heartbeats carry).  Per-interface and per-host counters do not exist: the
+links' per-direction ``LinkStats`` count what crosses each wire.
 """
 
 from __future__ import annotations
@@ -157,7 +159,6 @@ class SoftwareSwitch(Host):
     # ---------------------------------------------------------- forwarding
 
     def receive_packet(self, packet: Packet, interface: Interface) -> None:
-        self.rx_packets += 1
         in_port = self._interface_to_port.get(interface.name)
         if in_port is None:
             self.packets_dropped += 1
@@ -211,11 +212,9 @@ class SoftwareSwitch(Host):
             return
         in_port = self._interface_to_port.get(interface.name)
         if in_port is None:
-            self.rx_packets += len(packets)
             self.packets_dropped += len(packets)
             return
         port = self.ports[in_port]
-        self.rx_packets += len(packets)
         port.stats.rx_packets += len(packets)
 
         mac_table = self.mac_table
@@ -426,7 +425,6 @@ class SoftwareSwitch(Host):
         stats.tx_packets += 1
         stats.tx_bytes += packet.size_bytes
         self.packets_forwarded += 1
-        self.tx_packets += 1
         port.interface.send(packet)
 
     def _output_batch(self, packets: List[Packet], port_number: int) -> None:
@@ -439,7 +437,6 @@ class SoftwareSwitch(Host):
         port.stats.tx_packets += count
         port.stats.tx_bytes += size
         self.packets_forwarded += count
-        self.tx_packets += count
         port.interface.send_batch(packets)
 
     def _flood(self, packet: Packet, in_port: int) -> None:
@@ -449,7 +446,6 @@ class SoftwareSwitch(Host):
                 continue
             port.stats.tx_packets += 1
             port.stats.tx_bytes += packet.size_bytes
-            self.tx_packets += 1
             port.interface.send(packet.copy())
 
     def record_fluid_transit(self, size_bytes: float) -> None:

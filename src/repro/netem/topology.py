@@ -310,7 +310,11 @@ class EdgeTopology:
         self.gateway = Gateway(
             simulator, forwarding_delay_s=self.config.gateway_forwarding_delay_s
         )
-        self.core_switch = SoftwareSwitch(simulator, name="core-switch", forwarding_delay_s=2e-6)
+        # Nothing installs flow rules on the core switch, so a flow cache
+        # there could never hold a verdict: every lookup would be a miss.
+        self.core_switch = SoftwareSwitch(
+            simulator, name="core-switch", forwarding_delay_s=2e-6, fastpath_enabled=False
+        )
         self.stations: Dict[str, EdgeStation] = {}
         self.servers: Dict[str, Server] = {}
         self.links: List[Link] = []

@@ -52,6 +52,9 @@ class Cell(Host):
         self._client_radio_ifaces: Dict[str, Interface] = {}
         self._client_links: Dict[str, Link] = {}
         self._clients: Dict[str, "MobileClient"] = {}
+        #: Client IP -> its radio interface here, for downstream relaying
+        #: (the address plan gives every client its own IP).
+        self._radio_by_ip: Dict[str, Interface] = {}
         self._association_listeners: List[AssociationListener] = []
         self._disassociation_listeners: List[AssociationListener] = []
         self.frames_relayed_upstream = 0
@@ -108,6 +111,7 @@ class Cell(Host):
         self._client_radio_ifaces[client.name] = cell_iface
         self._client_links[client.name] = link
         self._clients[client.name] = client
+        self._radio_by_ip[client.ip] = cell_iface
         client.attach_to_cell(self)
         for listener in self._association_listeners:
             listener(client, self)
@@ -121,6 +125,7 @@ class Cell(Host):
         link.set_up(False)
         self.interfaces.pop(cell_iface.name, None)
         del self._clients[client.name]
+        self._radio_by_ip.pop(client.ip, None)
         client.detach_from_cell(self)
         for listener in self._disassociation_listeners:
             listener(client, self)
@@ -140,15 +145,12 @@ class Cell(Host):
 
     def _relay_downstream(self, packet: Packet) -> None:
         """Wired -> radio: deliver to the associated client owning the destination IP."""
-        if packet.ip is None:
+        radio = self._radio_by_ip.get(packet.ip.dst) if packet.ip is not None else None
+        if radio is None:
             self.frames_dropped += 1
             return
-        for client_name, client in self._clients.items():
-            if client.ip == packet.ip.dst:
-                self.frames_relayed_downstream += 1
-                self._client_radio_ifaces[client_name].send(packet)
-                return
-        self.frames_dropped += 1
+        self.frames_relayed_downstream += 1
+        radio.send(packet)
 
     def summary(self) -> Dict[str, float]:
         """Per-cell statistics reported in Agent heartbeats."""

@@ -260,3 +260,42 @@ def test_pipe_matches_an_idle_second_server_end_to_end():
     for key in ("rtts", "workloads", "gateway", "links", "digest"):
         assert results[1][key] == results[2][key], key
     assert results[1]["events"] < results[2]["events"]
+
+
+# --------------------------------------------------------------------------
+# The core switch has no flow cache
+# --------------------------------------------------------------------------
+
+
+def _core_switch_counters(server_count: int, flow_cache: bool):
+    spec = _spec(server_count)
+    run = ScenarioRunner(spec).start()
+    switch = run.testbed.topology.core_switch
+    assert not switch.fastpath_enabled  # as built
+    switch.fastpath_enabled = flow_cache  # the build before it lost the cache
+    run.advance(spec.duration_s)
+    result = run.finalize()
+    summary = switch.summary()
+    counters = {
+        key: summary[key] for key in ("packets_forwarded", "packets_flooded", "packets_dropped", "mac_entries")
+    }
+    return {
+        "counters": counters,
+        "ports": {number: vars(stats) for number, stats in switch.port_stats().items()},
+        "links": _link_stats(result.testbed.topology, {"gw-core-link", "server-1-core-link", "server-2-core-link"}),
+        "digest": result.digest.hexdigest,
+        "cache": (summary["fastpath_hits"], summary["fastpath_misses"]),
+    }
+
+
+@pytest.mark.parametrize("server_count", [1, 2])
+def test_core_switch_without_a_flow_cache_forwards_and_floods_as_before(server_count):
+    cached = _core_switch_counters(server_count, flow_cache=True)
+    uncached = _core_switch_counters(server_count, flow_cache=False)
+    for key in ("counters", "ports", "links", "digest"):
+        assert uncached[key] == cached[key], key
+    assert cached["counters"]["packets_forwarded"] > 0 and cached["counters"]["packets_flooded"] > 0
+    # No rule is ever installed there, so the cache never stored a verdict.
+    hits, misses = cached["cache"]
+    assert hits == 0 and misses == sum(stats["rx_packets"] for stats in cached["ports"].values())
+    assert uncached["cache"] == (0, 0)

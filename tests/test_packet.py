@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netem import packet as pkt
+from repro.netem.host import Interface, Server
+from repro.netem.simulator import Simulator
+from repro.nfs.base import Direction, ProcessingContext
+from repro.nfs.cache import EdgeCache
+from repro.nfs.http_filter import HTTPFilter
 
 
 def test_tcp_packet_has_sane_size():
@@ -166,7 +172,111 @@ def test_packet_copy_of_partial_packet_keeps_missing_headers_missing():
     assert clone.ip is None and clone.l4 is None and clone.app is None
     assert clone.eth is not packet.eth and clone.eth == packet.eth
     assert clone.size_bytes == packet.size_bytes == 64
-    # The cache carried over, but the setters still invalidate it.
+    # The size field carried over, and the setters still recompute it.
     clone.payload_bytes = 100
     assert clone.size_bytes == 114
     assert packet.size_bytes == 64
+
+
+# --------------------------------------------------------------------------
+# ``size_bytes`` is a field: it must always equal a from-scratch computation.
+# --------------------------------------------------------------------------
+
+_L4_BYTES = {pkt.TCPHeader: 20, pkt.UDPHeader: 8, pkt.ICMPHeader: 8}
+
+
+def wire_size(packet):
+    """The on-the-wire size recomputed from the packet's current contents."""
+    size = packet.payload_bytes
+    size += 14 if packet.eth is not None else 0
+    size += 20 if packet.ip is not None else 0
+    size += _L4_BYTES.get(type(packet.l4), 0)
+    if isinstance(packet.app, (pkt.HTTPRequest, pkt.HTTPResponse)):
+        size += 200 + packet.app.body_bytes
+    elif isinstance(packet.app, (pkt.DNSQuery, pkt.DNSResponse)):
+        size += 48
+    return max(size, 64)
+
+
+_bodies = st.integers(min_value=0, max_value=20_000)
+_apps = st.one_of(
+    st.none(),
+    _bodies.map(lambda body: pkt.HTTPRequest("POST", "example.org", "/", body_bytes=body)),
+    _bodies.map(lambda body: pkt.HTTPResponse(200, body_bytes=body)),
+    st.just(pkt.DNSQuery("example.org")),
+    st.just(pkt.DNSResponse("example.org", ("10.0.0.9",))),
+)
+_l4s = st.sampled_from(
+    [None, pkt.TCPHeader(1, 2), pkt.UDPHeader(1, 2), pkt.ICMPHeader()]
+)
+_payloads = st.integers(min_value=0, max_value=3_000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    with_eth=st.booleans(),
+    with_ip=st.booleans(),
+    l4=_l4s,
+    app=_apps,
+    payload=_payloads,
+    new_app=_apps,
+    new_payload=_payloads,
+)
+def test_size_field_matches_a_recomputation_through_every_mutation(
+    with_eth, with_ip, l4, app, payload, new_app, new_payload
+):
+    packet = pkt.Packet(
+        eth=pkt.EthernetHeader("a", "b") if with_eth else None,
+        ip=pkt.IPv4Header("10.0.0.1", "10.0.0.2") if with_ip else None,
+        l4=l4,
+        app=app,
+        payload_bytes=payload,
+    )
+    assert packet.size_bytes == wire_size(packet)
+    clone = packet.copy()
+    assert clone.size_bytes == wire_size(clone) == packet.size_bytes
+    clone.app = new_app
+    assert clone.size_bytes == wire_size(clone)
+    clone.payload_bytes = new_payload
+    assert clone.size_bytes == wire_size(clone)
+    assert packet.size_bytes == wire_size(packet)
+
+
+def _server_response(request):
+    """What a core server sends back for ``request`` (captured, not wired)."""
+    simulator = Simulator()
+    server = Server(simulator, "server", processing_delay_s=0.0)
+    interface = Interface("server-eth0", mac="02:00:00:00:00:09", ip=request.ip.dst)
+    server.add_interface(interface)
+    sent = []
+    server.send = lambda packet, out=None: sent.append(packet)
+    server.handle_packet(request, interface)
+    simulator.run()
+    (response,) = sent
+    return response
+
+
+@settings(max_examples=30, deadline=None)
+@given(body=_bodies, payload=_payloads)
+def test_size_field_matches_a_recomputation_on_every_response_builder(body, payload):
+    client, server = "10.10.0.5", "10.30.0.2"
+    request = pkt.make_http_request(client, server, host="blocked.example", path="/x")
+    responses = [
+        pkt.make_http_response(request, body_bytes=body),
+        pkt.make_dns_response(pkt.make_dns_query(client, server, "example.org"), ("10.0.0.9",)),
+        _server_response(pkt.make_udp_packet(client, server, 5000, 7, payload_bytes=payload)),
+        _server_response(pkt.make_icmp_echo(client, server)),
+    ]
+    upstream = ProcessingContext(now=1.0, direction=Direction.UPSTREAM, client_ip=client)
+    downstream = ProcessingContext(now=1.0, direction=Direction.DOWNSTREAM, client_ip=client)
+    cache = EdgeCache(name="cache")
+    cache.process(request, upstream)  # a miss
+    cache.process(pkt.make_http_response(request, body_bytes=body), downstream)
+    (hit,) = cache.process(pkt.make_http_request(client, server, host="blocked.example", path="/x"), upstream)
+    assert hit.app.headers.get("X-Cache") == "HIT"
+    responses.append(hit)
+    (forbidden,) = HTTPFilter(name="filter", blocked_hosts=["blocked.example"]).process(request, upstream)
+    assert isinstance(forbidden.app, pkt.HTTPResponse) and forbidden.app.status == 403
+    responses.append(forbidden)
+    for response in responses:
+        assert response.size_bytes == wire_size(response)

@@ -246,6 +246,36 @@ def test_cell_drops_downstream_for_unknown_client(simulator, topology):
     assert cell.frames_dropped == 1
 
 
+def test_cell_relays_downstream_by_client_ip_across_a_handover(simulator):
+    topology = EdgeTopology(simulator, TopologyConfig(station_count=2))
+    cell_a = build_cell(simulator, topology, station="station-1", name="cell-a")
+    cell_b = build_cell(simulator, topology, station="station-2", position=(80.0, 0.0), name="cell-b")
+    phone = make_client(simulator)
+    tablet = MobileClient(simulator, "tablet", ip="10.10.0.6", mac="02:00:00:00:01:02")
+    for client in (phone, tablet):
+        cell_a.associate(client, topology.addresses.allocate_mac)
+
+    def downstream(cell, client):
+        cell.wired_interface.deliver(pkt.make_udp_packet("10.30.0.2", client.ip, 1, 2))
+        simulator.run()
+
+    downstream(cell_a, phone)
+    downstream(cell_a, tablet)
+    assert (phone.packets_received, tablet.packets_received) == (1, 1)
+    assert (cell_a.frames_relayed_downstream, cell_a.frames_dropped) == (2, 0)
+
+    cell_a.disassociate(tablet)
+    cell_b.associate(tablet, topology.addresses.allocate_mac)
+    downstream(cell_a, tablet)  # the old cell no longer knows the tablet
+    assert (tablet.packets_received, cell_a.frames_dropped) == (1, 1)
+    downstream(cell_b, tablet)
+    downstream(cell_a, phone)
+    assert (phone.packets_received, tablet.packets_received) == (2, 2)
+    assert (cell_a.frames_relayed_downstream, cell_b.frames_relayed_downstream) == (3, 1)
+    downstream(cell_b, phone)
+    assert (phone.packets_received, cell_b.frames_dropped) == (2, 1)
+
+
 def test_cell_summary_counts(simulator, topology):
     cell = build_cell(simulator, topology)
     client = make_client(simulator)

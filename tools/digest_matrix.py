@@ -2,11 +2,13 @@
 """Golden digest oracle for the canned scenario library.
 
 Replays every canned scenario at a fixed seed under each control-plane
-shard count in packet mode and compares each run's ``MetricsDigest``
-against the committed golden file ``tests/data/scenario_digests.json``.
-Performance work must leave every digest byte-identical; this is the check
-that says so against a fixed baseline instead of only between two legs of
-the same tree.
+shard count, in packet and in hybrid mode, and compares each run's
+``MetricsDigest`` and simulator event count against the committed golden
+file ``tests/data/scenario_digests.json``.  Performance work must leave
+every digest byte-identical and, unless it means to remove events, every
+event count too; this is the check that says so against a fixed baseline
+instead of only between two legs of the same tree.  Hybrid legs matter
+because hybrid mode is where fluid load reaches the links.
 
 Run from the repository root::
 
@@ -15,7 +17,7 @@ Run from the repository root::
 
 ``--scenarios`` restricts either mode to a comma-separated subset (the
 golden file is then updated, or checked, for those names only).  A
-mismatch names the digest sections that moved.  Regenerate the file only
+mismatch names the digest sections that moved, or the event counts.  Regenerate the file only
 on a change that is *meant* to alter simulated behaviour, and say why in
 the commit.
 """
@@ -37,30 +39,33 @@ from repro.scenarios import run_scenario, scenario_names  # noqa: E402
 GOLDEN_PATH = os.path.join(REPO_ROOT, "tests", "data", "scenario_digests.json")
 SEED = 1
 SHARD_COUNTS = (1, 4)
-SIMULATION_MODE = "packet"
+SIMULATION_MODES = ("packet", "hybrid")
 
 
-def leg_key(name: str, shard_count: int) -> str:
-    return f"{name}/shards-{shard_count}"
+def leg_key(name: str, shard_count: int, mode: str = "packet") -> str:
+    key = f"{name}/shards-{shard_count}"
+    return key if mode == "packet" else f"{key}/{mode}"
 
 
 def replay(names: List[str], log=print) -> Dict[str, Dict[str, object]]:
-    """Digest of every ``scenario × shard count`` leg, keyed by :func:`leg_key`."""
+    """Digest and event count of every ``scenario × shard count × mode`` leg,
+    keyed by :func:`leg_key`."""
     legs: Dict[str, Dict[str, object]] = {}
     for name in names:
-        for shard_count in SHARD_COUNTS:
-            started = time.perf_counter()
-            result = run_scenario(
-                name, seed=SEED, shard_count=shard_count, simulation_mode=SIMULATION_MODE
-            )
-            legs[leg_key(name, shard_count)] = {
-                "digest": result.digest.hexdigest,
-                "sections": dict(sorted(result.digest.components.items())),
-            }
-            log(
-                f"{leg_key(name, shard_count):45s} {result.digest.short} "
-                f"{time.perf_counter() - started:6.1f}s"
-            )
+        for mode in SIMULATION_MODES:
+            for shard_count in SHARD_COUNTS:
+                key = leg_key(name, shard_count, mode)
+                started = time.perf_counter()
+                result = run_scenario(name, seed=SEED, shard_count=shard_count, simulation_mode=mode)
+                legs[key] = {
+                    "digest": result.digest.hexdigest,
+                    "events": result.events_processed,
+                    "sections": dict(sorted(result.digest.components.items())),
+                }
+                log(
+                    f"{key:52s} {result.digest.short} {result.events_processed:>9d} ev "
+                    f"{time.perf_counter() - started:6.1f}s"
+                )
     return legs
 
 
@@ -70,14 +75,13 @@ def load_golden(path: str = GOLDEN_PATH) -> Dict[str, object]:
 
 
 def write_golden(legs: Dict[str, Dict[str, object]], path: str = GOLDEN_PATH) -> None:
-    golden: Dict[str, object] = {"legs": {}}
-    if os.path.exists(path):
-        golden = load_golden(path)
-    golden.update(
-        {"seed": SEED, "shard_counts": list(SHARD_COUNTS), "simulation_mode": SIMULATION_MODE}
-    )
-    golden["legs"].update(legs)  # type: ignore[union-attr]
-    golden["legs"] = dict(sorted(golden["legs"].items()))  # type: ignore[union-attr]
+    kept = load_golden(path)["legs"] if os.path.exists(path) else {}
+    golden = {
+        "seed": SEED,
+        "shard_counts": list(SHARD_COUNTS),
+        "simulation_modes": list(SIMULATION_MODES),
+        "legs": dict(sorted({**kept, **legs}.items())),  # type: ignore[dict-item]
+    }
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(golden, handle, indent=1, sort_keys=True)
@@ -85,7 +89,8 @@ def write_golden(legs: Dict[str, Dict[str, object]], path: str = GOLDEN_PATH) ->
 
 
 def compare(legs: Dict[str, Dict[str, object]], golden: Dict[str, object]) -> List[str]:
-    """One line per leg whose digest differs from (or is missing in) the golden file."""
+    """One line per leg whose digest or event count differs from (or is
+    missing in) the golden file."""
     expected = golden["legs"]
     problems = []
     for key, leg in legs.items():
@@ -93,14 +98,18 @@ def compare(legs: Dict[str, Dict[str, object]], golden: Dict[str, object]) -> Li
         if want is None:
             problems.append(f"{key}: no golden digest (run --write)")
             continue
-        if want["digest"] == leg["digest"]:
-            continue
-        moved = sorted(
-            section
-            for section in set(want["sections"]) | set(leg["sections"])  # type: ignore[arg-type]
-            if want["sections"].get(section) != leg["sections"].get(section)  # type: ignore[union-attr]
-        )
-        problems.append(f"{key}: digest {leg['digest'][:12]} != golden {want['digest'][:12]}; sections {moved}")
+        moved = []
+        if want["digest"] != leg["digest"]:
+            sections = sorted(
+                section
+                for section in set(want["sections"]) | set(leg["sections"])  # type: ignore[arg-type]
+                if want["sections"].get(section) != leg["sections"].get(section)  # type: ignore[union-attr]
+            )
+            moved.append(f"digest {leg['digest'][:12]} != golden {want['digest'][:12]}; sections {sections}")
+        if want.get("events") != leg.get("events"):
+            moved.append(f"{leg.get('events')} events != golden {want.get('events')}")
+        if moved:
+            problems.append(f"{key}: " + "; ".join(moved))
     return problems
 
 
